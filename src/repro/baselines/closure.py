@@ -17,24 +17,15 @@ cells ⋈ labels → (tree, cell, label) distinct → cells ⋈ back.
 """
 from __future__ import annotations
 
-import time
-
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from repro.common.kernels import nearest_among_candidates, rp_split
+from repro.common.kernels import rp_split
 from repro.common.result import ClusterRun
-from repro.common.stats import (
-    centroids_from_stats,
-    cluster_stats,
-    objective_from_stats,
-    sum_sq_norms,
-)
 from repro.common.vectors import splitmix64, to_matrix
-from repro.core.gkmeans import _pad_candidates
-from repro.core.two_means import STATE_SCHEMA
+from repro.core import iterate
 
 _TREE_SCHEMA = "id long, features array<double>, tree int, cell long"
 
@@ -114,6 +105,24 @@ def initial_labels_from_tree(cells: DataFrame, k: int) -> DataFrame:
     return c0.join(mdf, on="cell").select("id", "label")
 
 
+def closure_candidates(cells: DataFrame, state: DataFrame) -> DataFrame:
+    """Each point's candidate clusters: the labels of its cells' members.
+
+    ``cells ⋈ labels → (tree, cell, label) distinct → cells ⋈`` back, i.e.
+    every cluster whose closure (the union of its members' cells) contains
+    the point; returns ``(id, cands)``.
+    """
+    lab_df = state.select("id", "label")
+    cell_labels = cells.join(lab_df, on="id").select("tree", "cell", "label").distinct()
+    return (
+        cells.join(cell_labels, on=["tree", "cell"])
+        .select("id", "label")
+        .distinct()
+        .groupBy("id")
+        .agg(F.collect_set("label").alias("cands"))
+    )
+
+
 def closure_kmeans(
     spark: SparkSession,
     feats_df: DataFrame,
@@ -125,75 +134,33 @@ def closure_kmeans(
     seed: int = 0,
     rel_tol: float = 1e-9,
 ) -> ClusterRun:
-    """Closure k-means; ``leaf_size`` defaults to ~n/k clamped to [2, 64]."""
-    feats = feats_df.select("id", "features").localCheckpoint(eager=True)
-    S, n = sum_sq_norms(feats)
-    if k > n:
-        raise ValueError(f"k={k} exceeds n={n}")
+    """Closure k-means; ``leaf_size`` defaults to ~n/k clamped to [2, 64].
+
+    ``extra["mean_candidates"]`` is the mean closure size |candidate
+    clusters| per point at iteration 0 — the paper's "comparisons per
+    sample" metric (cf. GK-means' |Q|).
+    """
+    feats, sq = iterate.materialise(feats_df)
+    n = sq[1]
     if leaf_size is None:
         leaf_size = int(np.clip(round(n / k), 2, 64))
     leaf_size = min(leaf_size, max(1, n // k))  # ensure >= k cells exist
+    cells = None
 
-    t0 = time.perf_counter()
-    cells = build_rp_trees(
-        spark, feats, n_trees=n_trees, leaf_size=leaf_size, seed=seed
-    )
-    labels = initial_labels_from_tree(cells, k)
-    state = feats.join(labels, on="id").select(
-        "id", "features", F.col("label").cast("long").alias("label")
-    ).localCheckpoint(eager=True)
-    init_s = time.perf_counter() - t0
-
-    history: list[dict] = []
-    extra: dict = {"leaf_size": leaf_size, "n_trees": n_trees}
-    iter_s = 0.0
-    prev_I = -np.inf
-    for it in range(iters + 1):
-        t0 = time.perf_counter()
-        counts, sums = cluster_stats(state, k)
-        I = objective_from_stats(counts, sums)
-        iter_s += time.perf_counter() - t0
-        history.append({"iter": it, "elapsed": iter_s, "E": (S - I) / n})
-        if it == iters or I - prev_I <= rel_tol * max(1.0, abs(I)):
-            break
-        prev_I = I
-
-        C, _ = centroids_from_stats(counts, sums)
-
-        def move(batches, C=C):
-            for pdf in batches:
-                if len(pdf) == 0:
-                    continue
-                X = to_matrix(pdf["features"])
-                lab = pdf["label"].to_numpy(dtype=np.int64)
-                cand = _pad_candidates(pdf["cands"])
-                new = nearest_among_candidates(X, lab, cand, C)
-                out = pdf[["id", "features"]].copy()
-                out["label"] = new
-                yield out
-
-        t0 = time.perf_counter()
-        lab_df = state.select("id", "label")
-        cell_labels = cells.join(lab_df, on="id").select("tree", "cell", "label").distinct()
-        cand = (
-            cells.join(cell_labels, on=["tree", "cell"])
-            .select("id", "label")
-            .distinct()
-            .groupBy("id")
-            .agg(F.collect_set("label").alias("cands"))
+    def init() -> DataFrame:
+        nonlocal cells
+        cells = build_rp_trees(
+            spark, feats, n_trees=n_trees, leaf_size=leaf_size, seed=seed
         )
-        joined = state.join(cand, on="id", how="left")
-        if it == 0:
-            # closure size |candidate clusters| per point — the paper's
-            # "comparisons per sample" metric (cf. GK-means' |Q|)
-            row = cand.select(F.avg(F.size("cands")).alias("m")).collect()[0]
-            extra["mean_candidates"] = float(row["m"] or 0.0)
-        new_state = joined.mapInPandas(move, STATE_SCHEMA).localCheckpoint(eager=True)
-        state.unpersist()
-        state = new_state
-        iter_s += time.perf_counter() - t0
+        labels = initial_labels_from_tree(cells, k)
+        return feats.join(labels, on="id").select(
+            "id", "features", F.col("label").cast("long").alias("label")
+        ).localCheckpoint(eager=True)
 
-    return ClusterRun(
-        state=state, k=k, history=history, init_s=init_s, iter_s=iter_s,
-        extra=extra,
+    run = iterate.run(
+        init, k, sq, rule="nearest",
+        candidates=lambda state: closure_candidates(cells, state),
+        iters=iters, rel_tol=rel_tol, track_candidates=True,
     )
+    run.extra.update(leaf_size=leaf_size, n_trees=n_trees)
+    return run

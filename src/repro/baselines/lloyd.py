@@ -2,28 +2,22 @@
 
 Assignment broadcasts the (k, d) centroid matrix into a ``mapInPandas``
 argmin kernel; the update step reuses the treeAggregate-style
-``cluster_stats``.  Per-iteration cost is ``O(n·d·k)`` — the bottleneck
-the paper attacks.  Initial centroids are k distinct samples picked by
-a seeded hash order (the classical Forgy init).
+``cluster_stats``; both run in ``core.iterate``'s loop with the nearest
+rule over all clusters.  Per-iteration cost is ``O(n·d·k)`` — the
+bottleneck the paper attacks.  Initial centroids are k distinct samples
+picked by a seeded hash order (the classical Forgy init); the initial
+state is the assignment to them.
 """
 from __future__ import annotations
-
-import time
 
 import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from repro.common.kernels import assign_nearest
 from repro.common.result import ClusterRun
-from repro.common.stats import (
-    centroids_from_stats,
-    cluster_stats,
-    objective_from_stats,
-    sum_sq_norms,
-)
 from repro.common.vectors import to_matrix
-from repro.core.two_means import STATE_SCHEMA
+from repro.core import iterate
+from repro.core.iterate import assign_to_centroids
 
 
 def sample_rows(feats_df: DataFrame, k: int, seed: int) -> np.ndarray:
@@ -39,23 +33,6 @@ def sample_rows(feats_df: DataFrame, k: int, seed: int) -> np.ndarray:
     return to_matrix(pdf["features"])
 
 
-def assign_to_centroids(feats_df: DataFrame, centroids: np.ndarray) -> DataFrame:
-    """(id, features) -> (id, features, label) by nearest-centroid argmin."""
-    C = np.ascontiguousarray(centroids, dtype=np.float64)
-
-    def assign(batches):
-        for pdf in batches:
-            if len(pdf) == 0:
-                continue
-            X = to_matrix(pdf["features"])
-            lab, _ = assign_nearest(X, C)
-            out = pdf[["id", "features"]].copy()
-            out["label"] = lab
-            yield out
-
-    return feats_df.select("id", "features").mapInPandas(assign, STATE_SCHEMA)
-
-
 def lloyd_kmeans(
     spark: SparkSession,
     feats_df: DataFrame,
@@ -69,41 +46,20 @@ def lloyd_kmeans(
     """Standard Lloyd iterations; history tracks E of each assignment.
 
     ``init_centroids`` (k, d) overrides the Forgy sampling — used by
-    tests and for controlled-initialisation comparisons.
+    tests and for controlled-initialisation comparisons.  The first
+    assignment is part of the initialisation (``init_s``), as every other
+    method's initial partition is; ``extra["centroids"]`` are the final
+    centroids, an empty cluster keeping its last one.
     """
-    feats = feats_df.select("id", "features").localCheckpoint(eager=True)
-    S, n = sum_sq_norms(feats)
+    feats, sq = iterate.materialise(feats_df)
 
-    t0 = time.perf_counter()
-    if init_centroids is not None:
-        C = np.ascontiguousarray(init_centroids, dtype=np.float64)
-        if C.shape[0] != k:
-            raise ValueError(f"init_centroids has {C.shape[0]} rows, need k={k}")
-    else:
-        C = sample_rows(feats, k, seed)
-    init_s = time.perf_counter() - t0
+    def forgy() -> tuple[DataFrame, np.ndarray]:
+        if init_centroids is None:
+            C = sample_rows(feats, k, seed)
+        else:
+            C = np.ascontiguousarray(init_centroids, dtype=np.float64)
+            if C.shape[0] != k:
+                raise ValueError(f"init_centroids has {C.shape[0]} rows, need k={k}")
+        return assign_to_centroids(feats, C).localCheckpoint(eager=True), C
 
-    history: list[dict] = []
-    iter_s = 0.0
-    state = None
-    prev_I = -np.inf
-    for it in range(iters + 1):
-        t0 = time.perf_counter()
-        new_state = assign_to_centroids(feats, C).localCheckpoint(eager=True)
-        if state is not None:
-            state.unpersist()
-        state = new_state
-        counts, sums = cluster_stats(state, k)
-        I = objective_from_stats(counts, sums)
-        newC, nonempty = centroids_from_stats(counts, sums)
-        C = np.where(nonempty[:, None], newC, C)  # empty cluster keeps centroid
-        iter_s += time.perf_counter() - t0
-        history.append({"iter": it, "elapsed": iter_s, "E": (S - I) / n})
-        if it == iters or I - prev_I <= rel_tol * max(1.0, abs(I)):
-            break
-        prev_I = I
-
-    return ClusterRun(
-        state=state, k=k, history=history, init_s=init_s, iter_s=iter_s,
-        extra={"centroids": C},
-    )
+    return iterate.run(forgy, k, sq, rule="nearest", iters=iters, rel_tol=rel_tol)

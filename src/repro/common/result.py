@@ -3,9 +3,9 @@
 All methods (Lloyd, BKM, Mini-Batch, closure k-means, GK-means) return a
 :class:`ClusterRun` so the experiment harnesses can time/compare them
 identically.  ``history`` rows carry *algorithm* seconds only — the
-distortion bookkeeping itself is free for boost-style methods via the
-identity ``E = (sum ||x||^2 - I) / n`` and excluded from timings for the
-others.
+distortion bookkeeping itself is free on the shared driver
+(``core.iterate``) via the identity ``E = (sum ||x||^2 - I) / n`` and
+excluded from timings for Mini-Batch.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ class ClusterRun:
     history: per-iteration dicts {iter, elapsed, E} with ``elapsed`` the
         cumulative algorithm seconds when that iteration finished.
     init_s / iter_s: wall seconds split as the paper's Tab. 2 does.
-    extra: method-specific diagnostics (e.g. graph recall, move counts).
+    extra: method-specific diagnostics (e.g. graph recall, mean candidates).
     """
 
     state: DataFrame

@@ -112,9 +112,3 @@ def distortion(df: DataFrame, centroids: np.ndarray) -> float:
         raise ValueError("distortion on an empty DataFrame")
     return float(part["s"].sum()) / n
 
-
-def distortion_from_state(df: DataFrame, k: int) -> float:
-    """E computed against the *current* cluster means of ``df`` itself."""
-    counts, sums = cluster_stats(df, k)
-    C, _ = centroids_from_stats(counts, sums)
-    return distortion(df, C)

@@ -11,40 +11,10 @@ traditional k-means, which is exactly why the paper needs GK-means.
 """
 from __future__ import annotations
 
-import time
-
-import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.common.kernels import boost_best_move_full
 from repro.common.result import ClusterRun
-from repro.common.stats import cluster_stats, objective_from_stats, sum_sq_norms
-from repro.common.vectors import hash_choice, to_matrix
-from repro.core.two_means import STATE_SCHEMA, two_means_tree
-
-
-def random_partition(feats_df: DataFrame, k: int, seed: int) -> DataFrame:
-    """Balanced-in-expectation random k-partition: label = hash(id) mod-ish k."""
-
-    def gen(batches):
-        for pdf in batches:
-            ids = pdf["id"].to_numpy(dtype=np.int64)
-            out = pdf[["id", "features"]].copy()
-            out["label"] = hash_choice(ids, k, seed + 7_777)
-            yield out
-
-    return feats_df.select("id", "features").mapInPandas(gen, STATE_SCHEMA)
-
-
-def init_state(
-    spark: SparkSession, feats_df: DataFrame, k: int, init: str, seed: int
-) -> DataFrame:
-    """Initial (id, features, label) state: ``"random"`` or ``"2m"`` tree."""
-    if init == "random":
-        return random_partition(feats_df, k, seed).localCheckpoint(eager=True)
-    if init == "2m":
-        return two_means_tree(spark, feats_df, k, seed=seed)
-    raise ValueError(f"unknown init {init!r}")
+from repro.core import iterate
 
 
 def boost_kmeans(
@@ -59,9 +29,7 @@ def boost_kmeans(
 ) -> ClusterRun:
     """Run batch boost k-means; returns a :class:`ClusterRun`.
 
-    ``history[i]["E"]`` is the distortion of the assignment entering
-    iteration ``i`` (``history[0]`` = the initial partition), computed
-    for free from the identity ``E = (S - I) / n``.
+    ``history`` as in :func:`repro.core.iterate.run`.
 
     Default init is the 2M tree: the sequential BKM of [16] recovers
     from a random partition via immediate updates, but the batch (BSP)
@@ -70,44 +38,8 @@ def boost_kmeans(
     spatial init restores the paper's "BKM = best quality" behaviour
     (DESIGN.md §3).
     """
-    feats = feats_df.select("id", "features").localCheckpoint(eager=True)
-    S, n = sum_sq_norms(feats)
-    if k > n:
-        raise ValueError(f"k={k} exceeds n={n}")
-
-    t0 = time.perf_counter()
-    state = init_state(spark, feats, k, init, seed)
-    init_s = time.perf_counter() - t0
-
-    history: list[dict] = []
-    iter_s = 0.0
-    prev_I = -np.inf
-    for it in range(iters + 1):
-        t0 = time.perf_counter()
-        counts, sums = cluster_stats(state, k)
-        I = objective_from_stats(counts, sums)
-        iter_s += time.perf_counter() - t0
-        history.append({"iter": it, "elapsed": iter_s, "E": (S - I) / n})
-        if it == iters or I - prev_I <= rel_tol * max(1.0, abs(I)):
-            break
-        prev_I = I
-
-        def move(batches, D=sums, cnt=counts):
-            for pdf in batches:
-                if len(pdf) == 0:
-                    continue
-                X = to_matrix(pdf["features"])
-                lab = pdf["label"].to_numpy(dtype=np.int64)
-                tgt, delta = boost_best_move_full(X, lab, D, cnt)
-                new = np.where(delta > 0, tgt, lab)
-                out = pdf.copy()
-                out["label"] = new
-                yield out
-
-        t0 = time.perf_counter()
-        new_state = state.mapInPandas(move, STATE_SCHEMA).localCheckpoint(eager=True)
-        state.unpersist()
-        state = new_state
-        iter_s += time.perf_counter() - t0
-
-    return ClusterRun(state=state, k=k, history=history, init_s=init_s, iter_s=iter_s)
+    feats, sq = iterate.materialise(feats_df)
+    return iterate.run(
+        lambda: iterate.init_state(spark, feats, k, init, seed), k, sq,
+        rule="boost", iters=iters, rel_tol=rel_tol,
+    )

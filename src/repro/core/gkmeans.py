@@ -16,41 +16,20 @@ Dataflow per iteration (all DataFrame/Catalyst):
    (``mode="boost"``) or nearest-centroid-among-candidates
    (``mode="traditional"`` — the paper's "GK-means−" ablation).
 
-Initialisation is the two-means tree, as in Alg. 2 line 3.  The
-sequential-to-batch adaptation is the same as in ``core.bkm``
+Initialisation is the two-means tree, as in Alg. 2 line 3.  The loop
+itself, and the sequential-to-batch adaptation, is ``core.iterate``'s
 (DESIGN.md §3).
 """
 from __future__ import annotations
 
-import time
-
-import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from repro.common.kernels import boost_delta_I, nearest_among_candidates
 from repro.common.result import ClusterRun
-from repro.common.stats import (
-    centroids_from_stats,
-    cluster_stats,
-    objective_from_stats,
-    sum_sq_norms,
-)
-from repro.common.vectors import to_matrix
-from repro.core.two_means import STATE_SCHEMA, two_means_tree
+from repro.core import iterate
 
-_JOINED_SCHEMA = "id long, features array<double>, label long, cands array<long>"
-
-
-def _pad_candidates(cands) -> np.ndarray:
-    """Ragged candidate lists -> (m, cmax) int64 matrix, -1 padded."""
-    lists = [np.asarray(c, dtype=np.int64) if c is not None else np.empty(0, np.int64)
-             for c in cands]
-    cmax = max((len(c) for c in lists), default=0)
-    out = np.full((len(lists), max(cmax, 1)), -1, dtype=np.int64)
-    for i, c in enumerate(lists):
-        out[i, : len(c)] = c
-    return out
+#: GK-means mode -> the driver's move rule
+_RULES = {"boost": "boost", "traditional": "nearest"}
 
 
 def candidate_labels(state: DataFrame, edges: DataFrame) -> DataFrame:
@@ -73,91 +52,25 @@ def gk_means(
     iters: int = 20,
     seed: int = 0,
     init: str = "2m",
-    init_state_df: DataFrame | None = None,
     rel_tol: float = 1e-9,
     track_candidates: bool = False,
     sq_norms: tuple[float, int] | None = None,
 ) -> ClusterRun:
     """Cluster ``feats_df`` into k clusters guided by ``graph_df`` (id, nbr).
 
-    ``init_state_df`` (id, features, label) bypasses initialisation —
-    used by Alg. 3's rounds and by tests.  ``history`` as in
-    ``core.bkm``; ``extra["mean_candidates"]`` (with
-    ``track_candidates=True``) is the average |Q|, the paper's "number
-    of clusters one sample actually visits".  ``sq_norms``: precomputed
-    ``(sum ||x||^2, n)`` — callers that invoke gk_means in a loop
-    (Alg. 3) pass it to skip re-materialising an already-checkpointed
-    ``feats_df`` and re-scanning it.
+    ``history`` as in :func:`repro.core.iterate.run`;
+    ``extra["mean_candidates"]`` (with ``track_candidates=True``) is the
+    average |Q|, the paper's "number of clusters one sample actually
+    visits".  ``sq_norms``: precomputed ``(sum ||x||^2, n)`` — callers that
+    invoke gk_means in a loop (Alg. 3) pass it to skip re-materialising an
+    already-checkpointed ``feats_df`` and re-scanning it.
     """
-    if mode not in ("boost", "traditional"):
+    if mode not in _RULES:
         raise ValueError(f"unknown mode {mode!r}")
-    if sq_norms is None:
-        feats = feats_df.select("id", "features").localCheckpoint(eager=True)
-        S, n = sum_sq_norms(feats)
-    else:
-        feats = feats_df.select("id", "features")
-        S, n = sq_norms
+    feats, sq = iterate.materialise(feats_df, sq_norms)
     edges = graph_df.select("id", "nbr")
-
-    t0 = time.perf_counter()
-    if init_state_df is not None:
-        state = init_state_df
-    elif init == "2m":
-        state = two_means_tree(spark, feats, k, seed=seed)
-    elif init == "random":
-        from repro.core.bkm import random_partition
-
-        state = random_partition(feats, k, seed).localCheckpoint(eager=True)
-    else:
-        raise ValueError(f"unknown init {init!r}")
-    init_s = time.perf_counter() - t0
-
-    history: list[dict] = []
-    extra: dict = {}
-    iter_s = 0.0
-    prev_I = -np.inf
-    for it in range(iters + 1):
-        t0 = time.perf_counter()
-        counts, sums = cluster_stats(state, k)
-        I = objective_from_stats(counts, sums)
-        iter_s += time.perf_counter() - t0
-        history.append({"iter": it, "elapsed": iter_s, "E": (S - I) / n})
-        if it == iters or I - prev_I <= rel_tol * max(1.0, abs(I)):
-            break
-        prev_I = I
-
-        centroids, _ = centroids_from_stats(counts, sums)
-        use_boost = mode == "boost"
-
-        def move(batches, D=sums, cnt=counts, C=centroids):
-            for pdf in batches:
-                if len(pdf) == 0:
-                    continue
-                X = to_matrix(pdf["features"])
-                lab = pdf["label"].to_numpy(dtype=np.int64)
-                cand = _pad_candidates(pdf["cands"])
-                if use_boost:
-                    tgt, delta = boost_delta_I(X, lab, cand, D, cnt)
-                    new = np.where(delta > 0, tgt, lab)
-                else:
-                    new = nearest_among_candidates(X, lab, cand, C)
-                out = pdf[["id", "features"]].copy()
-                out["label"] = new
-                yield out
-
-        t0 = time.perf_counter()
-        cand_df = candidate_labels(state, edges)
-        joined = state.join(cand_df, on="id", how="left")
-        if track_candidates and it == 0:
-            stats_row = cand_df.select(
-                F.avg(F.size("cands")).alias("m"), F.count("*").alias("c")
-            ).collect()[0]
-            extra["mean_candidates"] = float(stats_row["m"] or 0.0)
-        new_state = joined.mapInPandas(move, STATE_SCHEMA).localCheckpoint(eager=True)
-        state.unpersist()
-        state = new_state
-        iter_s += time.perf_counter() - t0
-
-    return ClusterRun(
-        state=state, k=k, history=history, init_s=init_s, iter_s=iter_s, extra=extra
+    return iterate.run(
+        lambda: iterate.init_state(spark, feats, k, init, seed), k, sq,
+        rule=_RULES[mode], candidates=lambda state: candidate_labels(state, edges),
+        iters=iters, rel_tol=rel_tol, track_candidates=track_candidates,
     )

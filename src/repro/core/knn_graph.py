@@ -31,7 +31,7 @@ from pyspark.sql.window import Window
 from repro.common.kernels import pairwise_topk
 from repro.common.vectors import hash_uniforms, to_matrix
 from repro.core.gkmeans import gk_means
-from repro.common.stats import sum_sq_norms
+from repro.core.iterate import materialise
 
 GRAPH_SCHEMA = "id long, nbr long, dist double"
 
@@ -43,11 +43,13 @@ def random_graph(
 
     Requires contiguous ids ``0..n-1`` (as produced by
     ``synth_data.feature_dataset``) so neighbours can be sampled without
-    materialising the id universe.
+    materialising the id universe; other ids raise ``ValueError``.
     """
-    n = feats_df.count()
+    n, lo, hi = feats_df.agg(F.count("*"), F.min("id"), F.max("id")).collect()[0]
     if n < 2:
         raise ValueError("need at least 2 points for a graph")
+    if lo != 0 or hi != n - 1:
+        raise ValueError(f"ids must be 0..{n - 1}, got [{lo}, {hi}]")
     kap = min(kappa, n - 1)
 
     def gen(batches):
@@ -124,8 +126,7 @@ def build_knn_graph(
     ``history[t]`` = {round, elapsed, xi_E (distortion of the round's
     ξ-clustering), recall}.
     """
-    feats = feats_df.select("id", "features").localCheckpoint(eager=True)
-    sq = sum_sq_norms(feats)
+    feats, sq = materialise(feats_df)
     n = sq[1]
     k0 = max(1, n // xi)
     max_cluster = max(4 * xi, 200)

@@ -129,12 +129,6 @@ def print_table(df: pd.DataFrame, title: str) -> None:
     (out_dir / f"{slug}.txt").write_text(text.lstrip("\n") + "\n")
 
 
-def mode_balance(run: ClusterRun) -> float:
-    """Diagnostic: fraction of non-empty clusters (batch moves can empty some)."""
-    sizes = run.state.groupBy("label").count().toPandas()["count"]
-    return float(len(sizes)) / run.k
-
-
 def extrapolated_lloyd_hours(
     spark: SparkSession,
     feats: DataFrame,

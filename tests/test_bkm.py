@@ -4,7 +4,8 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines.lloyd import lloyd_kmeans
-from repro.core.bkm import boost_kmeans, random_partition
+from repro.core.bkm import boost_kmeans
+from repro.core.iterate import random_partition
 
 
 class TestRandomPartition:

@@ -96,15 +96,23 @@ class TestGKMeans:
         assert run.final_E <= run.history[0]["E"]
 
     def test_init_state_bypass(self, spark, feats_small, exact_graph):
+        """The driver iterates GK-means' rule from a given state."""
+        from repro.common.stats import sum_sq_norms
+        from repro.core import iterate
         from repro.core.two_means import two_means_tree
 
         state0 = two_means_tree(spark, feats_small, 6, seed=8)
-        run = gk_means(
-            spark, feats_small, 6, exact_graph, iters=3, seed=8,
-            init_state_df=state0,
+        edges = exact_graph.select("id", "nbr")
+        run = iterate.run(
+            lambda: state0, 6, sum_sq_norms(feats_small), rule="boost",
+            candidates=lambda s: candidate_labels(s, edges), iters=3, rel_tol=1e-9,
         )
         assert run.init_s < 0.5  # no 2M tree built inside
         assert run.final_E <= run.history[0]["E"]
+
+    def test_k_exceeds_n_raises(self, spark, feats_small, exact_graph):
+        with pytest.raises(ValueError, match="exceeds"):
+            gk_means(spark, feats_small.limit(3), 10, exact_graph, init="random")
 
     def test_sq_norms_shortcut_same_result(self, spark, feats_small, exact_graph):
         from repro.common.stats import sum_sq_norms

@@ -46,6 +46,16 @@ class TestRandomGraph:
         g = random_graph(spark, feats_small.limit(3), 10, seed=7).toPandas()
         assert g.groupby("id").size().max() <= 2
 
+    def test_shifted_ids_raise(self, spark, feats_small):
+        shifted = feats_small.select((F.col("id") + 1).alias("id"), "features")
+        with pytest.raises(ValueError, match="ids must be"):
+            random_graph(spark, shifted, 4, seed=8)
+
+    def test_gapped_ids_raise(self, spark, feats_small):
+        gapped = feats_small.filter(F.col("id") != 5)
+        with pytest.raises(ValueError, match="ids must be"):
+            random_graph(spark, gapped, 4, seed=9)
+
 
 class TestTopKappa:
     def test_keeps_k_smallest_distinct(self, spark):

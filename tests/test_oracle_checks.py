@@ -4,28 +4,26 @@ from __future__ import annotations
 
 from pyspark.sql import functions as F
 
-from repro import synth_data as sd
+from repro.core.iterate import random_partition
 from repro.oracle import assert_equivalent
 
 
 class TestProvidedOracle:
-    def test_tpch_join_aggregate(self, spark):
-        """Provided oracle wiring works end-to-end on TPC-H-lite."""
-        li = sd.lineitem(spark, sf=0.002)
-        o = sd.orders(spark, sf=0.002)
+    def test_feature_join_aggregate(self, spark, feats_small):
+        """Oracle wiring end to end: features ⋈ partition labels, grouped."""
+        pts = feats_small.select("id", "mode", F.col("features")[0].alias("x0"))
+        lab = random_partition(feats_small, 6, seed=5).select("id", "label")
         got = (
-            li.join(o, li.l_orderkey == o.o_orderkey)
-            .groupBy("o_orderpriority")
-            .agg(F.count("*").alias("cnt"),
-                 F.round(F.sum("l_extendedprice"), 2).alias("rev"))
+            pts.join(lab, on="id")
+            .groupBy("label", "mode")
+            .agg(F.count("*").alias("cnt"), F.round(F.sum("x0"), 6).alias("s"))
         )
         assert_equivalent(
             got,
-            """SELECT o_orderpriority, count(*) AS cnt,
-                      round(sum(l_extendedprice), 2) AS rev
-               FROM li JOIN o ON l_orderkey = o_orderkey
-               GROUP BY o_orderpriority""",
-            li=li, o=o,
+            """SELECT l.label, p.mode, count(*) AS cnt, round(sum(p.x0), 6) AS s
+               FROM p JOIN l USING (id)
+               GROUP BY l.label, p.mode""",
+            p=pts, l=lab,
         )
 
 
@@ -77,18 +75,12 @@ class TestGraphQueriesOracle:
 
     def test_closure_candidates_match_sql(self, spark, feats_small):
         """Closure k-means' candidate relation (two joins) vs DuckDB."""
-        from repro.baselines.closure import build_rp_trees
-        from repro.core.bkm import random_partition
+        from repro.baselines.closure import build_rp_trees, closure_candidates
 
         cells = build_rp_trees(spark, feats_small, n_trees=2, leaf_size=20, seed=5)
         lab = random_partition(feats_small, 6, seed=5).select("id", "label")
-        cl = cells.join(lab, on="id").select("tree", "cell", "label").distinct()
-        got = (
-            cells.join(cl, on=["tree", "cell"])
-            .select("id", "label")
-            .distinct()
-            .groupBy("id")
-            .agg(F.count("*").alias("n_cand"))
+        got = closure_candidates(cells, lab).select(
+            "id", F.size("cands").alias("n_cand")
         )
         assert_equivalent(
             got,

@@ -16,7 +16,7 @@ from repro.oracle import assert_equivalent
 @pytest.fixture(scope="module")
 def labeled_state(spark, feats_small):
     """feats_small with a deterministic 7-cluster random label column."""
-    from repro.core.bkm import random_partition
+    from repro.core.iterate import random_partition
 
     df = random_partition(feats_small, 7, seed=5).localCheckpoint(eager=True)
     df.count()
@@ -129,13 +129,6 @@ class TestDistortionIdentity:
         state = spark.createDataFrame(pdf)
         C = np.array([[1.0, 1.0], [2.0, 2.0]])
         assert S.distortion(state, C) == pytest.approx(0.0)
-
-    def test_distortion_from_state(self, labeled_state):
-        counts, sums = S.cluster_stats(labeled_state, 7)
-        C, _ = S.centroids_from_stats(counts, sums)
-        assert S.distortion_from_state(labeled_state, 7) == pytest.approx(
-            S.distortion(labeled_state, C), rel=1e-9
-        )
 
 
 class TestSumSqNorms:

@@ -94,24 +94,3 @@ class TestNamedDatasets:
         counts = pdf["mode"].value_counts()
         assert counts.iloc[0] > 3 * counts.iloc[len(counts) // 2]
 
-
-class TestProvidedGenerators:
-    """The provided TPC-H-lite generators must stay intact (oracle inputs)."""
-
-    def test_lineitem(self, spark):
-        li = sd.lineitem(spark, sf=0.001)
-        assert li.count() == 6000
-        assert "l_orderkey" in li.columns
-
-    def test_orders_keys_contiguous(self, spark):
-        o = sd.orders(spark, sf=0.001).toPandas()
-        assert o["o_orderkey"].tolist() == list(range(1, len(o) + 1))
-
-    def test_zipf_skew(self, spark):
-        z = sd.zipf_keys(spark, n=5000, n_keys=100).toPandas()
-        top = z["k"].value_counts(normalize=True).iloc[0]
-        assert top > 0.05  # rank-1 key dominates under zipf(1.1)
-
-    def test_uniform_keys_range(self, spark):
-        u = sd.uniform_keys(spark, n=1000, n_keys=50).toPandas()
-        assert u["k"].between(1, 50).all()

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.common.stats import distortion_from_state
+from repro.common.stats import centroids_from_stats, cluster_stats, distortion
 from repro.core.two_means import two_means_tree
 
 
@@ -41,12 +41,16 @@ class TestTwoMeansTree:
 
     def test_better_than_random_partition(self, spark, feats_mid):
         """Spatial bisection must beat a random partition on distortion."""
-        from repro.core.bkm import random_partition
+        from repro.core.iterate import random_partition
+
+        def own_distortion(state):
+            C, _ = centroids_from_stats(*cluster_stats(state, k))
+            return distortion(state, C)
 
         k = 16
         tree = two_means_tree(spark, feats_mid, k, seed=4)
         rand = random_partition(feats_mid, k, seed=4)
-        assert distortion_from_state(tree, k) < 0.8 * distortion_from_state(rand, k)
+        assert own_distortion(tree) < 0.8 * own_distortion(rand)
 
     def test_k_equals_n(self, spark, feats_small):
         n = feats_small.count()
