@@ -11,11 +11,16 @@ KNN graph — which is why the paper finds its distortion worse (Tab. 2,
 Figs. 5-7).
 
 Implementation: trees are built level-wise (one ``applyInPandas`` group
-per (tree, cell), balanced median splits on hashed random directions);
-the candidate relation is the pure-Catalyst double join
-cells ⋈ labels → (tree, cell, label) distinct → cells ⋈ back.
+per (tree, cell), balanced median splits on hashed random directions).
+The clusters whose closure contains a point are the labels of its cell
+mates, the points sharing a cell with it in any tree.  So closure k-means
+is GK-means− (``core.iterate``'s nearest rule) on a fixed neighbour table:
+the cell-mate pairs, built once with the trees and booked, like them, as
+initialisation.
 """
 from __future__ import annotations
+
+import time
 
 import numpy as np
 import pandas as pd
@@ -105,21 +110,20 @@ def initial_labels_from_tree(cells: DataFrame, k: int) -> DataFrame:
     return c0.join(mdf, on="cell").select("id", "label")
 
 
-def closure_candidates(cells: DataFrame, state: DataFrame) -> DataFrame:
-    """Each point's candidate clusters: the labels of its cells' members.
+def cell_mates(cells: DataFrame) -> DataFrame:
+    """The checkpointed ``(id, nbr)`` pairs of points sharing a cell in any
+    tree, self-pairs included.
 
-    ``cells ⋈ labels → (tree, cell, label) distinct → cells ⋈`` back, i.e.
-    every cluster whose closure (the union of its members' cells) contains
-    the point; returns ``(id, cands)``.
+    A cluster's closure contains a point iff one of its members is a cell
+    mate of the point, so these are the rows of the point's neighbour table
+    for :func:`repro.core.iterate.candidate_labels`.
     """
-    lab_df = state.select("id", "label")
-    cell_labels = cells.join(lab_df, on="id").select("tree", "cell", "label").distinct()
+    mates = cells.select("tree", "cell", F.col("id").alias("nbr"))
     return (
-        cells.join(cell_labels, on=["tree", "cell"])
-        .select("id", "label")
+        cells.join(mates, on=["tree", "cell"])
+        .select("id", "nbr")
         .distinct()
-        .groupBy("id")
-        .agg(F.collect_set("label").alias("cands"))
+        .localCheckpoint(eager=True)
     )
 
 
@@ -142,25 +146,26 @@ def closure_kmeans(
     """
     feats, sq = iterate.materialise(feats_df)
     n = sq[1]
+    if k > n:
+        raise ValueError(f"k={k} exceeds n={n}")
     if leaf_size is None:
         leaf_size = int(np.clip(round(n / k), 2, 64))
     leaf_size = min(leaf_size, max(1, n // k))  # ensure >= k cells exist
-    cells = None
 
-    def init() -> DataFrame:
-        nonlocal cells
-        cells = build_rp_trees(
-            spark, feats, n_trees=n_trees, leaf_size=leaf_size, seed=seed
-        )
-        labels = initial_labels_from_tree(cells, k)
-        return feats.join(labels, on="id").select(
-            "id", "features", F.col("label").cast("long").alias("label")
-        ).localCheckpoint(eager=True)
+    t0 = time.perf_counter()
+    cells = build_rp_trees(spark, feats, n_trees=n_trees, leaf_size=leaf_size, seed=seed)
+    edges = cell_mates(cells)
+    state = feats.join(initial_labels_from_tree(cells, k), on="id").select(
+        "id", "features", F.col("label").cast("long").alias("label")
+    ).localCheckpoint(eager=True)
+    cells.unpersist()
+    build_s = time.perf_counter() - t0
 
     run = iterate.run(
-        init, k, sq, rule="nearest",
-        candidates=lambda state: closure_candidates(cells, state),
+        lambda: state, k, sq, rule="nearest", edges=edges,
         iters=iters, rel_tol=rel_tol, track_candidates=True,
     )
+    edges.unpersist()
+    run.init_s += build_s
     run.extra.update(leaf_size=leaf_size, n_trees=n_trees)
     return run

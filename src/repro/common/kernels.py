@@ -272,22 +272,3 @@ def pairwise_topk(
     rows = np.repeat(np.arange(n), take)
     cols = idx.ravel()
     return ids[rows], ids[cols], d2[rows, cols]
-
-
-def merge_knn_lists(
-    nbrs: np.ndarray, dists: np.ndarray, kappa: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Merge candidate (nbr, dist) pairs into a top-``kappa`` KNN list.
-
-    Deduplicates neighbours keeping the minimum distance, sorts
-    ascending by (dist, nbr) for determinism, truncates to ``kappa``.
-    """
-    if len(nbrs) == 0:
-        return nbrs.astype(np.int64), dists.astype(np.float64)
-    order = np.lexsort((nbrs, dists))
-    nbrs, dists = nbrs[order], dists[order]
-    _, first = np.unique(nbrs, return_index=True)
-    first.sort()
-    nbrs, dists = nbrs[first], dists[first]
-    order = np.lexsort((nbrs, dists))[:kappa]
-    return nbrs[order].astype(np.int64), dists[order].astype(np.float64)

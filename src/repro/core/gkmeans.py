@@ -8,10 +8,11 @@ live.  Per-iteration cost drops from ``O(n·d·k)`` to ``O(n·d·κ)``,
 Dataflow per iteration (all DataFrame/Catalyst):
 
 1. ``cluster_stats`` — frozen composite vectors/sizes (treeAggregate).
-2. candidate collection: graph edges ``(id, nbr)`` joined with the
-   current assignment on ``nbr`` then ``collect_set(label)`` per id —
-   the set ``Q`` of Alg. 2 lines 6-11 (duplicates collapse, so ``|Q|``
-   is usually well below κ, as the paper notes).
+2. candidate collection (``core.iterate.candidate_labels``): graph edges
+   ``(id, nbr)`` joined with the current assignment on ``nbr`` then
+   ``collect_set(label)`` per id — the set ``Q`` of Alg. 2 lines 6-11
+   (duplicates collapse, so ``|Q|`` is usually well below κ, as the paper
+   notes).
 3. a ``mapInPandas`` kernel picks the best move per point: Eqn. 3
    (``mode="boost"``) or nearest-centroid-among-candidates
    (``mode="traditional"`` — the paper's "GK-means−" ablation).
@@ -23,23 +24,12 @@ itself, and the sequential-to-batch adaptation, is ``core.iterate``'s
 from __future__ import annotations
 
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.common.result import ClusterRun
 from repro.core import iterate
 
 #: GK-means mode -> the driver's move rule
 _RULES = {"boost": "boost", "traditional": "nearest"}
-
-
-def candidate_labels(state: DataFrame, edges: DataFrame) -> DataFrame:
-    """Alg. 2's Q per point: distinct labels of each id's graph neighbours."""
-    nbr_labels = state.select(F.col("id").alias("nbr"), "label")
-    return (
-        edges.join(nbr_labels, on="nbr")
-        .groupBy("id")
-        .agg(F.collect_set("label").alias("cands"))
-    )
 
 
 def gk_means(
@@ -68,9 +58,8 @@ def gk_means(
     if mode not in _RULES:
         raise ValueError(f"unknown mode {mode!r}")
     feats, sq = iterate.materialise(feats_df, sq_norms)
-    edges = graph_df.select("id", "nbr")
     return iterate.run(
         lambda: iterate.init_state(spark, feats, k, init, seed), k, sq,
-        rule=_RULES[mode], candidates=lambda state: candidate_labels(state, edges),
+        rule=_RULES[mode], edges=graph_df.select("id", "nbr"),
         iters=iters, rel_tol=rel_tol, track_candidates=track_candidates,
     )

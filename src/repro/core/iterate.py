@@ -1,15 +1,18 @@
 """The iteration loop shared by BKM, GK-means, closure k-means and Lloyd.
 
-They differ in two choices: each point's candidate clusters (``None``: all
-k; otherwise a provider mapping the state to ``(id, cands)``) and the move
-rule.  The pair picks the ``mapInPandas`` kernel:
+They differ in two choices: each point's candidate clusters and the move
+rule.  The candidates are all k clusters (``edges=None``) or the current
+labels of the point's rows in a neighbour table ``edges`` of ``(id, nbr)``
+rows (:func:`candidate_labels`): the KNN graph for GK-means, the pairs of
+points sharing a random-projection tree cell for closure k-means.  The
+pair picks the ``mapInPandas`` kernel:
 
 ==========  =======  ============================  ====================
-candidates  rule     kernel                        used by
+edges       rule     kernel                        used by
 ==========  =======  ============================  ====================
 ``None``    boost    ``boost_best_move_full``      BKM
-provider    boost    ``boost_delta_I``             GK-means (Alg. 2)
-provider    nearest  ``nearest_among_candidates``  GK-means−, closure
+table       boost    ``boost_delta_I``             GK-means (Alg. 2)
+table       nearest  ``nearest_among_candidates``  GK-means−, closure
 ``None``    nearest  ``assign_nearest``            Lloyd
 ==========  =======  ============================  ====================
 
@@ -78,6 +81,17 @@ def init_state(
     raise ValueError(f"unknown init {init!r}")
 
 
+def candidate_labels(state: DataFrame, edges: DataFrame) -> DataFrame:
+    """Each point's candidate clusters, ``(id, cands)``: the distinct
+    current labels of its ``nbr``s in ``edges`` (Alg. 2's Q)."""
+    nbr_labels = state.select(F.col("id").alias("nbr"), "label")
+    return (
+        edges.join(nbr_labels, on="nbr")
+        .groupBy("id")
+        .agg(F.collect_set("label").alias("cands"))
+    )
+
+
 def _pad_candidates(cands) -> np.ndarray:
     """Ragged candidate lists -> (m, cmax) int64 matrix, -1 padded."""
     lists = [np.asarray(c, dtype=np.int64) if c is not None else np.empty(0, np.int64)
@@ -133,7 +147,7 @@ def run(
     sq_norms: tuple[float, int],
     *,
     rule: str,
-    candidates: Callable[[DataFrame], DataFrame] | None = None,
+    edges: DataFrame | None = None,
     iters: int,
     rel_tol: float,
     track_candidates: bool = False,
@@ -187,14 +201,14 @@ def run(
 
         t0 = time.perf_counter()
         joined = state
-        if candidates is not None:
-            cand_df = candidates(state)
+        if edges is not None:
+            cand_df = candidate_labels(state, edges)
             joined = state.join(cand_df, on="id", how="left")
             if track_candidates and it == 0:
                 row = cand_df.select(F.avg(F.size("cands")).alias("m")).collect()[0]
                 extra["mean_candidates"] = float(row["m"] or 0.0)
         prev_state, prev_I = state, I
-        move = _mover(rule, candidates is not None, counts, sums, C)
+        move = _mover(rule, edges is not None, counts, sums, C)
         state = joined.mapInPandas(move, STATE_SCHEMA).localCheckpoint(eager=True)
         iter_s += time.perf_counter() - t0
 

@@ -77,6 +77,9 @@ def two_means_tree(
         sd = seed
 
         def bisect(pdf: pd.DataFrame) -> pd.DataFrame:
+            # local_two_means seeds by row position: fix the order that the
+            # shuffle leaves, so the tree does not depend on partitioning
+            pdf = pdf.sort_values("id", ignore_index=True)
             parent = int(pdf["label"].iloc[0])
             X = to_matrix(pdf["features"])
             side = local_two_means(X, _group_seed(sd, parent, lvl), iters=local_iters)

@@ -11,7 +11,8 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.core.bkm import boost_kmeans
-from repro.core.gkmeans import candidate_labels, gk_means
+from repro.core.gkmeans import gk_means
+from repro.core.iterate import candidate_labels
 from repro.core.knn_graph import random_graph
 from repro.oracle import assert_equivalent
 
@@ -102,10 +103,9 @@ class TestGKMeans:
         from repro.core.two_means import two_means_tree
 
         state0 = two_means_tree(spark, feats_small, 6, seed=8)
-        edges = exact_graph.select("id", "nbr")
         run = iterate.run(
             lambda: state0, 6, sum_sq_norms(feats_small), rule="boost",
-            candidates=lambda s: candidate_labels(s, edges), iters=3, rel_tol=1e-9,
+            edges=exact_graph.select("id", "nbr"), iters=3, rel_tol=1e-9,
         )
         assert run.init_s < 0.5  # no 2M tree built inside
         assert run.final_E <= run.history[0]["E"]

@@ -266,35 +266,3 @@ class TestPairwiseTopk:
     def test_tiny_inputs(self):
         src, nbr, dist = K.pairwise_topk(np.array([5]), np.ones((1, 2)), 3)
         assert len(src) == 0
-
-
-class TestMergeKnnLists:
-    def test_dedup_keeps_min(self):
-        nbrs = np.array([3, 1, 3, 2])
-        dists = np.array([5.0, 1.0, 2.0, 4.0])
-        n, d = K.merge_knn_lists(nbrs, dists, kappa=10)
-        assert n.tolist() == [1, 3, 2]
-        assert d.tolist() == [1.0, 2.0, 4.0]
-
-    def test_truncates_sorted(self):
-        rng = np.random.default_rng(15)
-        nbrs = rng.permutation(50)
-        dists = rng.random(50)
-        n, d = K.merge_knn_lists(nbrs, dists, kappa=5)
-        assert len(n) == 5
-        assert np.all(np.diff(d) >= 0)
-        assert set(d) == set(np.sort(dists)[:5])
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.tuples(st.integers(0, 20), st.floats(0, 100)),
-                    min_size=0, max_size=60),
-           st.integers(1, 10))
-    def test_properties(self, pairs, kappa):
-        nbrs = np.array([p[0] for p in pairs], dtype=np.int64)
-        dists = np.array([p[1] for p in pairs], dtype=np.float64)
-        n, d = K.merge_knn_lists(nbrs, dists, kappa)
-        assert len(n) == len(np.unique(n))  # distinct neighbours
-        assert len(n) <= kappa
-        assert np.all(np.diff(d) >= 0)  # sorted
-        if len(pairs):
-            assert d[0] == pytest.approx(dists.min())

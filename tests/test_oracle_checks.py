@@ -74,12 +74,15 @@ class TestGraphQueriesOracle:
         )
 
     def test_closure_candidates_match_sql(self, spark, feats_small):
-        """Closure k-means' candidate relation (two joins) vs DuckDB."""
-        from repro.baselines.closure import build_rp_trees, closure_candidates
+        """Closure k-means' candidates, the neighbour-label query over the
+        cell-mate table, vs the closure rule itself in DuckDB: every label
+        present in one of the point's cells (two joins)."""
+        from repro.baselines.closure import build_rp_trees, cell_mates
+        from repro.core.iterate import candidate_labels
 
         cells = build_rp_trees(spark, feats_small, n_trees=2, leaf_size=20, seed=5)
         lab = random_partition(feats_small, 6, seed=5).select("id", "label")
-        got = closure_candidates(cells, lab).select(
+        got = candidate_labels(lab, cell_mates(cells)).select(
             "id", F.size("cands").alias("n_cand")
         )
         assert_equivalent(

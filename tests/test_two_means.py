@@ -33,6 +33,14 @@ class TestTwoMeansTree:
         merged = a.merge(b, on="id", suffixes=("_a", "_b"))
         assert (merged["label_a"] == merged["label_b"]).all()
 
+    def test_independent_of_partitioning(self, spark, feats_small):
+        """Same data and seed on 3 and on 7 input partitions: same labels."""
+        a = two_means_tree(spark, feats_small.repartition(3), 12, seed=1).toPandas()
+        b = two_means_tree(spark, feats_small.repartition(7), 12, seed=1).toPandas()
+        merged = a.merge(b, on="id", suffixes=("_a", "_b"))
+        assert len(merged) == feats_small.count()
+        assert (merged["label_a"] == merged["label_b"]).all()
+
     def test_seed_matters(self, spark, feats_small):
         a = two_means_tree(spark, feats_small, 8, seed=1).toPandas()
         b = two_means_tree(spark, feats_small, 8, seed=2).toPandas()
